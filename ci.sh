@@ -57,77 +57,53 @@ go test -run '^$' -fuzz 'FuzzChurnPlan' -fuzztime=10s ./internal/churn
 echo "==> fuzz smoke (FuzzFlowSchedule, 10s)"
 go test -run '^$' -fuzz 'FuzzFlowSchedule' -fuzztime=10s ./internal/trafficgen
 
-# Coverage gate: total statement coverage must not regress below the
-# recorded baseline (80.0% when this gate was added; floor leaves a small
-# margin for counter noise).
-COVERAGE_FLOOR=79.0
-echo "==> coverage gate (floor ${COVERAGE_FLOOR}%)"
+# Coverage gates: statement coverage must not fall below each floor. The
+# total floor is the recorded baseline (80.0% when the gate was added) less
+# a margin for counter noise; "all" takes the toolchain's own total from
+# `go tool cover -func`. Each other row aggregates the profile lines whose
+# file matches its regex, so one stack cannot silently lose its tests:
+#   churn    grammar, Admit/Retire, AdmitChains/RetireChains, churn sweep,
+#            churn simulation
+#   scale    sharded NF tables, arena flow schedules, FlowScale plumbing,
+#            scale sweep (the million-flow state layer)
+#   deadline EDF scheduler trees, metacompiler slacks, p99 admission,
+#            simulator drain order + quantiles, latency sweep
+#   daemon   spec validation, reconcile loop, snapshot, watch dir,
+#            status/API surface (the lemurd path)
+echo "==> coverage gates"
 go test -coverprofile=/tmp/lemur-cover.out ./... > /dev/null
-total=$(go tool cover -func=/tmp/lemur-cover.out | awk '/^total:/ {gsub(/%/, "", $NF); print $NF}')
-echo "    total coverage: ${total}%"
-awk -v t="$total" -v f="$COVERAGE_FLOOR" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || {
-  echo "ci: coverage ${total}% fell below the ${COVERAGE_FLOOR}% floor" >&2
-  exit 1
-}
-
-# The churn stack (grammar, Admit/Retire, AdmitChains/RetireChains, churn
-# sweep, churn simulation) gets its own aggregate floor so the online path
-# cannot silently lose its tests.
-CHURN_FLOOR=75.0
-churn=$(awk '$1 ~ /churn/ { total += $2; if ($3 > 0) covered += $2 }
-  END { if (total > 0) printf "%.1f", 100 * covered / total; else print 0 }' /tmp/lemur-cover.out)
-echo "    churn-file coverage: ${churn}%"
-awk -v t="$churn" -v f="$CHURN_FLOOR" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || {
-  echo "ci: churn-file coverage ${churn}% fell below the ${CHURN_FLOOR}% floor" >&2
-  exit 1
-}
-
-# The million-flow state layer (sharded NF tables, arena flow schedules,
-# FlowScale plumbing, scale sweep) gets its own aggregate floor so the
-# scale path cannot silently lose its tests.
-SCALE_FLOOR=75.0
-scale=$(awk '$1 ~ /internal\/nf\/(flowtab|nat|monitor|dedup|lb|reference)\.go|internal\/trafficgen\/|internal\/runtime\/flowscale\.go|internal\/experiments\/scalesweep\.go/ {
-    total += $2; if ($3 > 0) covered += $2 }
-  END { if (total > 0) printf "%.1f", 100 * covered / total; else print 0 }' /tmp/lemur-cover.out)
-echo "    scale-file coverage: ${scale}%"
-awk -v t="$scale" -v f="$SCALE_FLOOR" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || {
-  echo "ci: scale-file coverage ${scale}% fell below the ${SCALE_FLOOR}% floor" >&2
-  exit 1
-}
-
-# The deadline-scheduling path (EDF scheduler trees, metacompiler slacks,
-# p99 admission, simulator drain order + quantiles, latency sweep) gets its
-# own aggregate floor so the SLO path cannot silently lose its tests.
-DEADLINE_FLOOR=75.0
-deadline=$(awk '$1 ~ /internal\/bess\/scheduler\.go|internal\/metacompiler\/deadline\.go|internal\/placer\/p99\.go|internal\/runtime\/(simedf|quantile)\.go|internal\/experiments\/latencysweep\.go/ {
-    total += $2; if ($3 > 0) covered += $2 }
-  END { if (total > 0) printf "%.1f", 100 * covered / total; else print 0 }' /tmp/lemur-cover.out)
-echo "    deadline-file coverage: ${deadline}%"
-awk -v t="$deadline" -v f="$DEADLINE_FLOOR" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || {
-  echo "ci: deadline-file coverage ${deadline}% fell below the ${DEADLINE_FLOOR}% floor" >&2
-  exit 1
-}
-
-# The control-plane daemon (spec validation, reconcile loop, snapshot,
-# watch dir, status/API surface) gets its own aggregate floor so the lemurd
-# path cannot silently lose its tests.
-DAEMON_FLOOR=75.0
-daemon=$(awk '$1 ~ /internal\/daemon\// { total += $2; if ($3 > 0) covered += $2 }
-  END { if (total > 0) printf "%.1f", 100 * covered / total; else print 0 }' /tmp/lemur-cover.out)
-echo "    daemon-file coverage: ${daemon}%"
-awk -v t="$daemon" -v f="$DAEMON_FLOOR" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || {
-  echo "ci: daemon-file coverage ${daemon}% fell below the ${DAEMON_FLOOR}% floor" >&2
-  exit 1
-}
+while read -r name files floor; do
+  if [ "$files" = all ]; then
+    pct=$(go tool cover -func=/tmp/lemur-cover.out | awk '/^total:/ {gsub(/%/, "", $NF); print $NF}')
+  else
+    pct=$(RE="$files" awk '$1 ~ ENVIRON["RE"] { total += $2; if ($3 > 0) covered += $2 }
+      END { if (total > 0) printf "%.1f", 100 * covered / total; else print 0 }' /tmp/lemur-cover.out)
+  fi
+  echo "    ${name} coverage: ${pct}% (floor ${floor}%)"
+  awk -v t="$pct" -v f="$floor" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || {
+    echo "ci: ${name} coverage ${pct}% fell below the ${floor}% floor" >&2
+    exit 1
+  }
+done <<'FLOORS'
+total    all                                                                    79.0
+churn    churn                                                                  75.0
+scale    internal/nf/(flowtab|nat|monitor|dedup|lb|reference)\.go|internal/trafficgen/|internal/runtime/flowscale\.go|internal/experiments/scalesweep\.go  75.0
+deadline internal/bess/scheduler\.go|internal/metacompiler/deadline\.go|internal/placer/p99\.go|internal/runtime/(simedf|quantile)\.go|internal/experiments/latencysweep\.go  75.0
+daemon   internal/daemon/                                                       75.0
+FLOORS
 
 # Allocation-regression guard: the arena-backed simulator must stay under its
-# fixed allocs-per-packet budget (testing.AllocsPerRun inside the test), and
-# the million-flow smoke must hold steady state under 0.5 allocs/packet.
+# fixed allocs-per-packet budget (testing.AllocsPerRun inside the test), the
+# million-flow smoke must hold steady state under 0.5 allocs/packet, and the
+# SmartNIC interpreter must allocate nothing per packet.
 echo "==> simulator allocation guard"
 go test -run 'TestSimulateAllocBudget' -count=1 ./internal/runtime
 
 echo "==> million-flow allocation guard"
 go test -run 'TestMillionFlowAllocBudget' -count=1 ./internal/runtime
+
+echo "==> SmartNIC interpreter allocation guard"
+go test -run 'TestRunChaChaAllocFree' -count=1 ./internal/smartnic
 
 # Parallel-simulation guards: the sharded engine must stay byte-identical
 # to the serial engine under the race detector at worker counts up to 8 —

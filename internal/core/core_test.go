@@ -53,7 +53,7 @@ func TestWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Artifacts == nil {
+	if d.Artifacts() == nil {
 		t.Error("no artifacts")
 	}
 	tb, err := s.Deploy()

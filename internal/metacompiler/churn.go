@@ -40,6 +40,7 @@ func (d *Deployment) AdmitChains(newIn *placer.Input, next *placer.Result, added
 		}
 	}
 
+	d.dropArtifacts()
 	// New chains' SPI identity is fixed by their slot index; append their
 	// service paths before the rewire installs against them.
 	for _, ci := range added {
@@ -90,6 +91,7 @@ func (d *Deployment) RetireChains(next *placer.Result, gone []int) (*RewireRepor
 	sp := obs.Span("metacompiler.retire").SetAttrInt("gone", len(gone))
 	defer sp.End()
 
+	d.dropArtifacts()
 	rep := &RewireReport{AffectedChains: append([]int(nil), gone...)}
 	prevEntries := d.Switch.EntryCount()
 	prevRules := d.Switch.ClassifierRuleCount()
@@ -125,7 +127,7 @@ func (d *Deployment) RetireChains(next *placer.Result, gone []int) (*RewireRepor
 	}
 	d.Result = next
 
-	if err := d.generateArtifacts(); err != nil {
+	if err := d.checkP4(); err != nil {
 		return nil, err
 	}
 	obs.C("lemur_retire_chains_total").Inc()

@@ -1,6 +1,7 @@
 package metacompiler
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -134,7 +135,7 @@ func TestAdmitChainsAdditive(t *testing.T) {
 	if d.Switch.Entry(sp.SPI, uint8(sp.Length())) == nil {
 		t.Error("admitted chain has no head switch entry")
 	}
-	if !strings.Contains(d.Artifacts.P4Source, "bronze") && !strings.Contains(d.Artifacts.P4Source, "spi") {
+	if !strings.Contains(d.Artifacts().P4Source, "bronze") && !strings.Contains(d.Artifacts().P4Source, "spi") {
 		t.Error("artifacts were not regenerated for the admitted chain")
 	}
 }
@@ -175,6 +176,10 @@ func TestRetireChainsReclaims(t *testing.T) {
 		t.Fatal("victim chain had no switch entries to reclaim")
 	}
 	sharesBefore := len(d.Shares)
+	before := d.Artifacts()
+	if d.Artifacts() != before {
+		t.Fatal("two reads with no mutation between rendered twice")
+	}
 	rw, err := d.RetireChains(next, []int{0})
 	if err != nil {
 		t.Fatalf("RetireChains: %v", err)
@@ -193,6 +198,26 @@ func TestRetireChainsReclaims(t *testing.T) {
 	for k := range victims {
 		if d.Switch.Entry(k[0], uint8(k[1])) != nil {
 			t.Fatalf("victim switch entry (%d,%d) survived retirement", k[0], k[1])
+		}
+	}
+	// The render memo is dropped: the victim's steering blocks leave the
+	// P4 text, the survivors' stay.
+	after := d.Artifacts()
+	if after == before {
+		t.Fatal("RetireChains kept the memoized artifacts")
+	}
+	for k := range victims {
+		block := fmt.Sprintf("if (nsh.spi == %d && nsh.si == %d)", k[0], k[1])
+		if !strings.Contains(before.P4Source, block) {
+			t.Fatalf("victim block %q missing before retirement", block)
+		}
+		if strings.Contains(after.P4Source, block) {
+			t.Errorf("victim block %q survived retirement in P4Source", block)
+		}
+	}
+	for k := range survivors {
+		if block := fmt.Sprintf("if (nsh.spi == %d && nsh.si == %d)", k[0], k[1]); !strings.Contains(after.P4Source, block) {
+			t.Errorf("survivor block %q lost from P4Source", block)
 		}
 	}
 	if len(d.Shares) >= sharesBefore {

@@ -4,12 +4,13 @@
 // assignment, encap/decap, branch retagging), the unified P4 program for the
 // ToR switch, BESS pipeline scripts and scheduler configuration for each
 // server, and verified eBPF programs for SmartNIC offloads. The output is a
-// Deployment that internal/runtime can execute, plus the generated code
-// artifacts with auto-generated-LoC accounting (§5.3).
+// Deployment that internal/runtime can execute; its generated code artifacts
+// with auto-generated-LoC accounting (§5.3) are rendered on read.
 package metacompiler
 
 import (
 	"fmt"
+	"sync"
 
 	"lemur/internal/bess"
 	"lemur/internal/bpf"
@@ -45,8 +46,8 @@ type Deployment struct {
 
 	claimed map[*placer.Subgroup]bool // placer subgroups whose shares were installed
 
-	// Artifacts are the generated code texts and line counts.
-	Artifacts *Artifacts
+	artMu     sync.Mutex
+	artifacts *Artifacts // memoized render (see Artifacts); nil after a mutation
 }
 
 // Compile builds a Deployment from a feasible placement.
@@ -94,19 +95,11 @@ func Compile(in *placer.Input, res *placer.Result) (*Deployment, error) {
 		}
 	}
 
-	if err := d.generateArtifacts(); err != nil {
+	if err := d.checkP4(); err != nil {
 		return nil, err
 	}
-	a := d.Artifacts
 	obs.C("lemur_compiles_total").Inc()
-	obs.G("lemur_compile_lines", obs.L("kind", "p4")).Set(float64(a.P4TotalLines))
-	obs.G("lemur_compile_lines", obs.L("kind", "p4_handwritten")).Set(float64(a.HandwrittenP4Lines))
-	obs.G("lemur_compile_lines", obs.L("kind", "bess")).Set(float64(a.BESSLines))
-	obs.G("lemur_compile_lines", obs.L("kind", "ebpf")).Set(float64(a.EBPFLines))
-	sp.SetAttrInt("bess_scripts", len(a.BESSScripts)).
-		SetAttrInt("ebpf_sources", len(a.EBPFSources)).
-		SetAttrInt("p4_lines", a.P4TotalLines).
-		End()
+	sp.End()
 	return d, nil
 }
 

@@ -59,8 +59,8 @@ func chainSPIRange(ci int) (lo, hi uint32) {
 // migration) and concrete cores drawn from the surviving free set.
 //
 // The deployment's Result is swapped to next; ChainPaths (SPI identity) are
-// placement-independent and stay valid. Artifacts are regenerated so LoC
-// accounting reflects the new programs.
+// placement-independent and stay valid. The new P4 program is checked as
+// Compile checks it, and Artifacts renders the new programs on next read.
 func (d *Deployment) Rewire(next *placer.Result, affected []int) (*RewireReport, error) {
 	if next == nil || !next.Feasible {
 		reason := "nil result"
@@ -86,6 +86,7 @@ func (d *Deployment) Rewire(next *placer.Result, affected []int) (*RewireReport,
 	}
 	sort.Ints(cis)
 
+	d.dropArtifacts()
 	rep := &RewireReport{AffectedChains: cis}
 	prevEntries := d.Switch.EntryCount()
 	prevRules := d.Switch.ClassifierRuleCount()
@@ -143,7 +144,7 @@ func (d *Deployment) Rewire(next *placer.Result, affected []int) (*RewireReport,
 	rep.InstalledSubgroups = d.subgroupCount() - keptSubs
 	rep.InstalledNICPrograms = d.nicProgramCount() - keptNIC
 
-	if err := d.generateArtifacts(); err != nil {
+	if err := d.checkP4(); err != nil {
 		return nil, err
 	}
 	obs.C("lemur_rewires_total").Inc()

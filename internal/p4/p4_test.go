@@ -2,6 +2,7 @@ package p4
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -155,17 +156,30 @@ func TestMergeConflict(t *testing.T) {
 	}
 }
 
+// TestMergeIdempotent: for every library class, merging its parser again —
+// directly after itself or after any class it merges with — changes nothing
+// and cannot fail. The meta-compiler's parser check relies on this to merge
+// each class once instead of once per instance.
 func TestMergeIdempotent(t *testing.T) {
-	g := NewGraph()
-	if err := g.Merge(Library["NAT"].Parser); err != nil {
-		t.Fatal(err)
-	}
-	before := len(g.States["ethernet"].Transitions)
-	if err := g.Merge(Library["NAT"].Parser); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(g.States["ethernet"].Transitions); got != before {
-		t.Errorf("re-merge duplicated transitions: %d -> %d", before, got)
+	for class, prog := range Library {
+		for other, oprog := range Library {
+			g := NewGraph()
+			if err := g.Merge(prog.Parser); err != nil {
+				t.Fatal(err)
+			}
+			if other != class {
+				if err := g.Merge(oprog.Parser); err != nil {
+					continue // a conflicting pair never reaches a re-merge
+				}
+			}
+			once := g.Clone()
+			if err := g.Merge(prog.Parser); err != nil {
+				t.Fatalf("%s after %s: re-merge failed: %v", class, other, err)
+			}
+			if !reflect.DeepEqual(g, once) {
+				t.Errorf("%s after %s: re-merge changed the graph", class, other)
+			}
+		}
 	}
 }
 

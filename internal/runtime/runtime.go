@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 
 	"lemur/internal/bess"
@@ -256,7 +257,15 @@ func (tb *Testbed) Measure(offered []float64) (*Measurement, error) {
 		}
 		visits[u.Device][u.ChainIdx] += u.Weight
 	}
-	for dev, vs := range visits {
+	// Scaling one device changes the load every later device sees, so
+	// visit them in name order for a reproducible result.
+	devs := make([]string, 0, len(visits))
+	for dev := range visits {
+		devs = append(devs, dev)
+	}
+	sort.Strings(devs)
+	for _, dev := range devs {
+		vs := visits[dev]
 		load := 0.0
 		for i, v := range vs {
 			load += v * m.Rates[i]

@@ -206,6 +206,53 @@ func TestMeasureDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestMeasureDeterministicOversubscribed: when link enforcement has to
+// scale down chains on two devices, and one chain crosses both, the rates
+// must not depend on the order the devices are visited in.
+func TestMeasureDeterministicOversubscribed(t *testing.T) {
+	src := `
+chain nic {
+  slo { tmin = 1Gbps  tmax = 100Gbps }
+  aggregate { src = 10.1.0.0/16 }
+  url0 = UrlFilter()
+  fe0  = FastEncrypt()
+  fwd0 = IPv4Fwd()
+  url0 -> fe0 -> fwd0
+}
+chain web {
+  slo { tmin = 1Gbps  tmax = 100Gbps }
+  aggregate { src = 10.2.0.0/16 }
+  acl0 = ACL(allow_dst = "172.16.0.0/12", rules = 1024)
+  enc0 = Encrypt()
+  fwd0 = IPv4Fwd()
+  acl0 -> enc0 -> fwd0
+}`
+	in, res, tb := deploy(t, hw.NewPaperTestbed(hw.WithSmartNIC()), src, placer.SchemeLemur)
+	if len(res.NICUses) == 0 || len(res.Subgroups) < 2 {
+		t.Fatalf("placement does not span the server and the SmartNIC: %d subgroups, %d NIC uses",
+			len(res.Subgroups), len(res.NICUses))
+	}
+	// Shrink both links below what the chains offer, so the server NIC and
+	// the SmartNIC are both oversubscribed.
+	in.Topo.Servers[0].NICs[0].CapacityBps = hw.Gbps(0.5)
+	in.Topo.SmartNICs[0].CapacityBps = hw.Gbps(0.3)
+	first, err := tb.Measure(res.ChainRates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		m, err := tb.Measure(res.ChainRates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci := range m.Rates {
+			if m.Rates[ci] != first.Rates[ci] {
+				t.Fatalf("run %d: chain %d measured %v, first run %v", i, ci, m.Rates[ci], first.Rates[ci])
+			}
+		}
+	}
+}
+
 func TestVerifySmartNICPath(t *testing.T) {
 	src := `
 chain nic {

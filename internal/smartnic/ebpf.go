@@ -131,7 +131,15 @@ func Verify(p *Program, spec *hw.SmartNICSpec) error {
 // XDP contract). Forward-only jumps guarantee termination.
 func Run(p *Program, pkt []byte) (int64, error) {
 	var regs [NumRegs]int64
-	stack := make([]byte, p.StackBytes)
+	// A verified program's stack fits the 512 B array, which stays off the
+	// heap; only an unverified oversized one allocates.
+	var stackBuf [512]byte
+	var stack []byte
+	if p.StackBytes <= len(stackBuf) {
+		stack = stackBuf[:p.StackBytes]
+	} else {
+		stack = make([]byte, p.StackBytes)
+	}
 	pc := 0
 	for pc < len(p.Insns) {
 		in := p.Insns[pc]
@@ -141,7 +149,13 @@ func Run(p *Program, pkt []byte) (int64, error) {
 		case OpMovReg:
 			regs[in.Dst] = regs[in.Src]
 		case OpLdB, OpLdH, OpLdW:
-			n := map[Op]int{OpLdB: 1, OpLdH: 2, OpLdW: 4}[in.Op]
+			n := 1
+			switch in.Op {
+			case OpLdH:
+				n = 2
+			case OpLdW:
+				n = 4
+			}
 			off := int(in.Off)
 			if off < 0 || off+n > len(pkt) {
 				return XDPDrop, nil

@@ -77,6 +77,35 @@ func TestChaChaBarelyFits(t *testing.T) {
 	}
 }
 
+// TestRunChaChaAllocFree: interpreting the 3600-instruction ChaCha program
+// allocates nothing per packet — the stack lives in Run's frame.
+func TestRunChaChaAllocFree(t *testing.T) {
+	chacha := SynthesizeNF("chacha", 3600, 256)
+	frame := testFrame(80)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Run(chacha, frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Run allocates %.1f times per packet, want 0", allocs)
+	}
+}
+
+// TestRunOversizedStack: a program declaring more stack than the verifier
+// allows still runs unverified, on a heap stack.
+func TestRunOversizedStack(t *testing.T) {
+	p := &Program{StackBytes: 1024, Insns: []Insn{
+		{Op: OpMovImm, Dst: 1, Imm: 0x0102030405060708},
+		{Op: OpStackW, Dst: 1, Off: 1000},
+		{Op: OpLdStkW, Dst: 0, Off: 1000},
+		{Op: OpExit},
+	}}
+	if got, err := Run(p, testFrame(80)); err != nil || got != 0x0102030405060708 {
+		t.Errorf("run = %#x, %v; want the stored word back", got, err)
+	}
+}
+
 func testFrame(dport uint16) []byte {
 	return packet.Builder{
 		Src: packet.IPv4Addr{10, 1, 2, 3}, Dst: packet.IPv4Addr{172, 16, 5, 6},

@@ -360,12 +360,12 @@ func (d *Deployment) Measure() (*Measurement, error) {
 }
 
 // P4Source returns the generated unified switch program.
-func (d *Deployment) P4Source() string { return d.dep.Artifacts.P4Source }
+func (d *Deployment) P4Source() string { return d.dep.Artifacts().P4Source }
 
 // BESSScripts returns the generated per-server pipeline scripts.
 func (d *Deployment) BESSScripts() map[string]string {
 	out := map[string]string{}
-	for k, v := range d.dep.Artifacts.BESSScripts {
+	for k, v := range d.dep.Artifacts().BESSScripts {
 		out[k] = v
 	}
 	return out
@@ -374,7 +374,7 @@ func (d *Deployment) BESSScripts() map[string]string {
 // EBPFSources returns the generated SmartNIC XDP programs.
 func (d *Deployment) EBPFSources() map[string]string {
 	out := map[string]string{}
-	for k, v := range d.dep.Artifacts.EBPFSources {
+	for k, v := range d.dep.Artifacts().EBPFSources {
 		out[k] = v
 	}
 	return out
@@ -383,7 +383,7 @@ func (d *Deployment) EBPFSources() map[string]string {
 // AutoGeneratedShare is the fraction of deployment P4 code the
 // meta-compiler generated (vs hand-written NF implementations).
 func (d *Deployment) AutoGeneratedShare() float64 {
-	return d.dep.Artifacts.AutoGeneratedShare()
+	return d.dep.Artifacts().AutoGeneratedShare()
 }
 
 // SimReport summarizes a discrete-time simulation run: per-chain goodput,
